@@ -16,6 +16,9 @@
 //!                                      # per-class floor
 //! ```
 //!
+//! Relative `OUT` and `BASELINE` paths name files under the workspace
+//! root, wherever cargo runs the binary from.
+//!
 //! The three classes bracket the design space, and the two latency-bound
 //! ones are length-normalized (~50k simulated cycles each) so their
 //! medians and cycle rates are comparable:
@@ -256,20 +259,23 @@ fn render(results: &[ClassResult]) {
     }
 }
 
-fn check(results: &[ClassResult], baseline_path: &str) -> Result<(), String> {
-    // Cargo runs bench binaries from the package directory; accept paths
-    // relative to the workspace root too so `cargo bench -p mcsim-bench`
-    // can name the checked-in baseline directly.
-    let mut path = std::path::PathBuf::from(baseline_path);
-    if !path.exists() {
-        let from_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+/// Resolves a relative path against the workspace root. Cargo runs bench
+/// binaries from the package directory, so without this
+/// `--write-baseline BENCH_step_throughput.json` would write a second
+/// copy under `crates/bench/` instead of the checked-in baseline.
+fn workspace_path(path: &str) -> std::path::PathBuf {
+    let path = std::path::Path::new(path);
+    if path.is_absolute() {
+        path.to_path_buf()
+    } else {
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
-            .join(baseline_path);
-        if from_root.exists() {
-            path = from_root;
-        }
+            .join(path)
     }
-    let text = std::fs::read_to_string(&path)
+}
+
+fn check(results: &[ClassResult], baseline_path: &str) -> Result<(), String> {
+    let text = std::fs::read_to_string(workspace_path(baseline_path))
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let baseline: Vec<ClassResult> =
         serde_json::from_str(&text).map_err(|e| format!("invalid baseline: {e}"))?;
@@ -342,7 +348,8 @@ fn main() {
 
     if let Some(path) = json_out {
         let text = serde_json::to_string_pretty(&results).expect("results serialize");
-        std::fs::write(&path, text + "\n").unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        std::fs::write(workspace_path(&path), text + "\n")
+            .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
         println!("wrote {path}");
     }
     if let Some(path) = check_against {

@@ -440,13 +440,17 @@ impl MemorySystem {
         }
     }
 
-    /// Drains the event stream for `proc` (completions + coherence
-    /// hazards, in delivery order).
-    pub fn drain_events(&mut self, proc: ProcId) -> Vec<MemEvent> {
+    /// Hands `proc`'s event stream (completions + coherence hazards, in
+    /// delivery order) to the caller by swapping the outbox with `out`,
+    /// which must be empty. The caller clears `out` once done and passes
+    /// it back next cycle, so both buffers keep their capacity and a
+    /// steady-state drain never allocates.
+    pub fn drain_events(&mut self, proc: ProcId, out: &mut Vec<MemEvent>) {
+        debug_assert!(out.is_empty(), "drain target must be empty");
         if !self.outbox[proc].is_empty() {
             self.progress = true;
         }
-        std::mem::take(&mut self.outbox[proc])
+        std::mem::swap(&mut self.outbox[proc], out);
     }
 
     /// Consumes the value bound for a demand operation: the loaded word
@@ -1643,12 +1647,19 @@ mod tests {
         MemorySystem::new(MemConfig::paper(), nprocs)
     }
 
+    /// Takes every event pending for `proc`.
+    fn drain(s: &mut MemorySystem, proc: ProcId) -> Vec<MemEvent> {
+        let mut events = Vec::new();
+        s.drain_events(proc, &mut events);
+        events
+    }
+
     /// Ticks until an event arrives for `proc` or `limit` cycles pass.
     fn run_until_event(s: &mut MemorySystem, proc: ProcId, limit: u64) -> (u64, Vec<MemEvent>) {
         let start = s.now();
         for c in start..=start + limit {
             s.tick(c);
-            let ev = s.drain_events(proc);
+            let ev = drain(s, proc);
             if !ev.is_empty() {
                 return (c, ev);
             }
@@ -1824,7 +1835,7 @@ mod tests {
             }
         ));
         // Proc 1 saw the invalidation strictly before the grant.
-        let ev1 = s.drain_events(1);
+        let ev1 = drain(&mut s, 1);
         assert_eq!(ev1, vec![MemEvent::Invalidated { line: s.line_of(A) }]);
         assert_eq!(s.read_coherent(A), 9);
     }
@@ -1855,7 +1866,7 @@ mod tests {
         ));
         assert_eq!(s.take_bound_value(token), Some(77), "flushed data visible");
         // Owner was downgraded and notified.
-        let ev0 = s.drain_events(0);
+        let ev0 = drain(&mut s, 0);
         assert_eq!(ev0, vec![MemEvent::Invalidated { line: s.line_of(A) }]);
         assert_eq!(s.caches[0].state(s.line_of(A)), Some(LineState::Shared));
         assert_eq!(s.stats().flushes, 1);
@@ -1955,7 +1966,7 @@ mod tests {
         let (cycle, _) = run_until_event(&mut s, 0, 400);
         assert_eq!(cycle - t0, 198, "update write waits for remote acks");
         // Sharer's copy was refreshed in place, not invalidated.
-        let ev1 = s.drain_events(1);
+        let ev1 = drain(&mut s, 1);
         assert_eq!(
             ev1,
             vec![MemEvent::Updated {
@@ -2019,7 +2030,7 @@ mod tests {
         for c in s.now() + 1..s.now() + 900 {
             s.tick(c);
             for p in 0..2 {
-                for e in s.drain_events(p) {
+                for e in drain(&mut s, p) {
                     if matches!(
                         e,
                         MemEvent::Done {
@@ -2049,7 +2060,7 @@ mod tests {
         let mut done_cycles = Vec::new();
         for c in 2..=200 {
             s.tick(c);
-            for e in s.drain_events(0) {
+            for e in drain(&mut s, 0) {
                 if matches!(e, MemEvent::Done { .. }) {
                     done_cycles.push(c);
                 }
@@ -2069,7 +2080,7 @@ mod tests {
         for c in 1..=800 {
             s.tick(c);
             for p in 0..2 {
-                for e in s.drain_events(p) {
+                for e in drain(&mut s, p) {
                     if matches!(
                         e,
                         MemEvent::Done {
@@ -2226,8 +2237,8 @@ mod tests {
         let _ = s.issue_demand_write(0, B, 5);
         for c in 1..=400 {
             s.tick(c);
-            let _ = s.drain_events(0);
-            let _ = s.drain_events(1);
+            let _ = drain(&mut s, 0);
+            let _ = drain(&mut s, 1);
             s.check_invariants()
                 .unwrap_or_else(|e| panic!("cycle {c}: {e}"));
         }
@@ -2236,8 +2247,8 @@ mod tests {
         let _ = s.issue_demand_write(1, A, 20);
         for c in 401..=1200 {
             s.tick(c);
-            let _ = s.drain_events(0);
-            let _ = s.drain_events(1);
+            let _ = drain(&mut s, 0);
+            let _ = drain(&mut s, 1);
             s.check_invariants()
                 .unwrap_or_else(|e| panic!("cycle {c}: {e}"));
         }
@@ -2310,7 +2321,7 @@ mod tests {
         for c in 1..=400 {
             s.tick(c);
             s.check_invariants().unwrap();
-            assert!(s.drain_events(0).is_empty(), "fill must never arrive");
+            assert!(drain(&mut s, 0).is_empty(), "fill must never arrive");
         }
         assert!(s.fault_fired());
         assert_eq!(s.in_flight(), 0, "network silent");
@@ -2376,12 +2387,12 @@ mod tests {
         let mut grant_at = None;
         for c in s.now() + 1..s.now() + 400 {
             s.tick(c);
-            for e in s.drain_events(1) {
+            for e in drain(&mut s, 1) {
                 if matches!(e, MemEvent::Invalidated { .. }) {
                     inval_at = Some(c);
                 }
             }
-            for e in s.drain_events(0) {
+            for e in drain(&mut s, 0) {
                 if matches!(
                     e,
                     MemEvent::Done {

@@ -137,6 +137,14 @@ pub struct Processor {
     txn_tokens: HashMap<TxnId, Vec<DemandToken>>,
     sb_txn: HashMap<TxnId, Vec<(Seq, Option<DemandToken>)>>,
     hit_completions: Vec<(u64, HitCompletion)>,
+    /// Scratch buffers the tick reuses so a steady-state cycle never
+    /// touches the heap: hit completions due this cycle, the memory
+    /// system's event stream (swapped with its outbox), and the sequence
+    /// numbers a stage collects before acting on them. Each is empty
+    /// between uses.
+    due_hits: Vec<HitCompletion>,
+    mem_events: Vec<MemEvent>,
+    seq_scratch: Vec<Seq>,
     forward_waiters: Vec<(Seq, Seq)>, // (store, load)
     /// Software prefetch hints awaiting a free port cycle (§6).
     sw_prefetches: VecDeque<(Seq, Addr, bool)>,
@@ -208,6 +216,9 @@ impl Processor {
             txn_tokens: HashMap::new(),
             sb_txn: HashMap::new(),
             hit_completions: Vec::new(),
+            due_hits: Vec::new(),
+            mem_events: Vec::new(),
+            seq_scratch: Vec::new(),
             forward_waiters: Vec::new(),
             sw_prefetches: VecDeque::new(),
             port_used: false,
@@ -657,33 +668,32 @@ impl Processor {
     fn stage_drain(&mut self, now: u64, mem: &mut MemorySystem) {
         // Local hit completions first: a value bound by a hit counts as
         // consumed before any hazard arriving this cycle (conservative).
-        let due: Vec<HitCompletion> = {
-            let mut due = Vec::new();
-            self.hit_completions.retain(|(at, hc)| {
-                if *at <= now {
-                    due.push(*hc);
-                    false
-                } else {
-                    true
-                }
-            });
-            due
-        };
+        let mut due = std::mem::take(&mut self.due_hits);
+        self.hit_completions.retain(|(at, hc)| {
+            if *at <= now {
+                due.push(*hc);
+                false
+            } else {
+                true
+            }
+        });
         if !due.is_empty() {
             self.progress = true;
         }
-        for hc in due {
+        for hc in due.drain(..) {
             match hc {
                 HitCompletion::Load { seq, value } => self.complete_load(now, seq, value),
                 HitCompletion::Store { seq, rmw_old } => self.complete_store(now, seq, rmw_old),
             }
         }
+        self.due_hits = due;
 
-        let events = mem.drain_events(self.id);
+        let mut events = std::mem::take(&mut self.mem_events);
+        mem.drain_events(self.id, &mut events);
         if !events.is_empty() {
             self.progress = true;
         }
-        for ev in events {
+        for ev in events.drain(..) {
             match ev {
                 MemEvent::Done { txn, .. } => {
                     if let Some(entries) = self.sb_txn.remove(&txn) {
@@ -715,24 +725,19 @@ impl Processor {
                     }
                 }
                 MemEvent::Invalidated { line } | MemEvent::Replaced { line } => {
-                    self.handle_hazard(now, mem, line, None);
+                    self.handle_hazard(now, line, None);
                 }
                 MemEvent::Updated { line, addr, value } => {
-                    self.handle_hazard(now, mem, line, Some((addr, value)));
+                    self.handle_hazard(now, line, Some((addr, value)));
                 }
             }
         }
+        self.mem_events = events;
     }
 
     /// Detection + correction (§4.2): match the hazard against the
     /// speculative-load buffer and roll back or reissue.
-    fn handle_hazard(
-        &mut self,
-        now: u64,
-        mem: &MemorySystem,
-        line: LineAddr,
-        update: Option<(Addr, u64)>,
-    ) {
+    fn handle_hazard(&mut self, now: u64, line: LineAddr, update: Option<(Addr, u64)>) {
         // Footnote 2 ablation: an update hazard names the written word and
         // value, so false sharing and same-value writes — both provably
         // harmless to the speculation — can be filtered out.
@@ -763,7 +768,6 @@ impl Processor {
                 .get(m.seq)
                 .is_some_and(|e| matches!(e.state, SbState::Issued { .. }))
                 || self.rob.entry(m.seq).is_none_or(|e| e.mem_performed));
-        let _ = mem;
         if rmw_issued {
             // Appendix A: the atomic has already issued; its own value will
             // be the real one — discard only the computation after it.
@@ -828,8 +832,7 @@ impl Processor {
                 self.emit(now, seq, TraceKind::BufferExit { buffer, addr });
             }
         }
-        let removed = self.rob.squash_from(from);
-        let n = removed.len();
+        let n = self.rob.squash_from(from);
         if spec {
             self.stats.squashed_by_spec += n as u64;
         } else {
@@ -971,7 +974,7 @@ impl Processor {
     // ------------------------------------------------------------------
 
     fn stage_spec_retire(&mut self, now: u64) {
-        for seq in self.specbuf.retire_ready() {
+        while let Some(seq) = self.specbuf.pop_ready() {
             self.progress = true;
             if let Some(e) = self.rob.entry_mut(seq) {
                 e.speculative = false;
@@ -1532,7 +1535,9 @@ impl Processor {
     // ------------------------------------------------------------------
 
     fn stage_store_issue(&mut self, now: u64, mem: &mut MemorySystem) {
-        for seq in self.sb.issuable(self.model) {
+        let mut issuable = std::mem::take(&mut self.seq_scratch);
+        issuable.extend(self.sb.issuable(self.model));
+        for &seq in &issuable {
             let e = self.sb.get(seq).expect("issuable entry exists");
             let (addr, value, rmw) = (e.addr, e.value, e.rmw);
             let line = mem.line_of(addr);
@@ -1607,6 +1612,8 @@ impl Processor {
                 }
             }
         }
+        issuable.clear();
+        self.seq_scratch = issuable;
     }
 
     // ------------------------------------------------------------------
@@ -1615,13 +1622,14 @@ impl Processor {
 
     fn stage_load_issue(&mut self, now: u64, mem: &mut MemorySystem) {
         let speculative = self.cfg.techniques.speculative_loads;
-        let waiting: Vec<Seq> = self
-            .load_queue
-            .iter()
-            .filter(|r| matches!(r.state, LoadState::Waiting))
-            .map(|r| r.seq)
-            .collect();
-        for seq in waiting {
+        let mut waiting = std::mem::take(&mut self.seq_scratch);
+        waiting.extend(
+            self.load_queue
+                .iter()
+                .filter(|r| matches!(r.state, LoadState::Waiting))
+                .map(|r| r.seq),
+        );
+        for &seq in &waiting {
             let Some(req) = self.load_queue.iter().find(|r| r.seq == seq) else {
                 continue;
             };
@@ -1732,6 +1740,8 @@ impl Processor {
                 }
             }
         }
+        waiting.clear();
+        self.seq_scratch = waiting;
     }
 
     /// Completes a load via store-to-load forwarding: the value is this
@@ -1837,26 +1847,36 @@ impl Processor {
         }
         // Candidates: consistency-delayed store-buffer entries
         // (read-exclusive) and — in conventional mode — delayed loads
-        // (read; read-exclusive for RMWs). Oldest first.
-        let mut cands: Vec<(Seq, Addr, bool)> = self
-            .sb
-            .prefetch_candidates(self.model)
-            .into_iter()
-            .map(|(s, a)| (s, a, true))
-            .collect();
+        // (read; read-exclusive for RMWs). Oldest first. The two sets
+        // never share a sequence number: only a split RMW sits in both
+        // buffers, and splitting requires speculative loads.
+        let mut cands = std::mem::take(&mut self.seq_scratch);
+        cands.extend(self.sb.prefetch_candidates(self.model));
         if !self.cfg.techniques.speculative_loads {
-            for r in &self.load_queue {
-                if matches!(r.state, LoadState::Waiting)
-                    && !r.prefetch_sent
-                    && !self.may_perform_now(r.seq, r.class)
-                {
-                    let exclusive = !matches!(r.kind, LoadKind::Plain);
-                    cands.push((r.seq, r.addr, exclusive));
-                }
-            }
+            cands.extend(
+                self.load_queue
+                    .iter()
+                    .filter(|r| {
+                        matches!(r.state, LoadState::Waiting)
+                            && !r.prefetch_sent
+                            && !self.may_perform_now(r.seq, r.class)
+                    })
+                    .map(|r| r.seq),
+            );
         }
-        cands.sort_unstable_by_key(|(s, _, _)| *s);
-        for (seq, addr, exclusive) in cands {
+        cands.sort_unstable();
+        for &seq in &cands {
+            let (addr, exclusive) = match self.sb.get(seq) {
+                Some(e) => (e.addr, true),
+                None => {
+                    let r = self
+                        .load_queue
+                        .iter()
+                        .find(|r| r.seq == seq)
+                        .expect("prefetch candidate is buffered");
+                    (r.addr, !matches!(r.kind, LoadKind::Plain))
+                }
+            };
             self.stats.prefetch_requests += 1;
             self.progress = true;
             match mem.issue_prefetch(self.id, addr, exclusive) {
@@ -1877,6 +1897,8 @@ impl Processor {
                 PrefetchResult::NoResource => break, // retry next cycle
             }
         }
+        cands.clear();
+        self.seq_scratch = cands;
     }
 
     fn mark_prefetch_sent(&mut self, seq: Seq) {

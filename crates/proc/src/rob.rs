@@ -310,16 +310,12 @@ impl Rob {
     }
 
     /// Squashes every entry with `seq >= from` (inclusive), rebuilding the
-    /// rename table from the survivors. Returns the removed entries
-    /// (oldest first) so the core can clean up its own structures.
-    pub fn squash_from(&mut self, from: Seq) -> Vec<RobEntry> {
-        let mut removed = Vec::new();
-        while self.entries.back().is_some_and(|e| e.seq >= from) {
-            if let Some(e) = self.entries.pop_back() {
-                removed.push(e);
-            }
-        }
-        removed.reverse();
+    /// rename table from the survivors. Returns how many entries were
+    /// removed; the core cleans up its own structures by sequence number.
+    pub fn squash_from(&mut self, from: Seq) -> usize {
+        let keep = self.entries.partition_point(|e| e.seq < from);
+        let removed = self.entries.len() - keep;
+        self.entries.truncate(keep);
         self.woken.retain(|&s| s < from);
         // Rebuild rename: youngest surviving producer per register.
         self.rename = [None; NUM_REGS];
@@ -418,11 +414,8 @@ mod tests {
         let s0 = rob.push(0, load(R1, 0x10)).unwrap();
         let s1 = rob.push(1, load(R2, 0x20)).unwrap();
         let s2 = rob.push(2, load(R1, 0x30)).unwrap();
-        let removed = rob.squash_from(s1);
-        assert_eq!(
-            removed.iter().map(|e| e.seq).collect::<Vec<_>>(),
-            vec![s1, s2]
-        );
+        assert_eq!(rob.squash_from(s1), 2);
+        assert!(rob.entry(s1).is_none() && rob.entry(s2).is_none());
         // R1 renames to the surviving s0, R2 back to the regfile.
         assert_eq!(rob.read_reg(R1), Src::Waiting(s0));
         assert_eq!(rob.read_reg(R2), Src::Ready(0));
@@ -451,10 +444,10 @@ mod tests {
     #[test]
     fn squash_from_future_is_noop() {
         let mut rob = Rob::new(4);
-        let _ = rob.push(0, Instr::Nop);
-        let removed = rob.squash_from(100);
-        assert!(removed.is_empty());
+        let s0 = rob.push(0, Instr::Nop).unwrap();
+        assert_eq!(rob.squash_from(100), 0);
         assert_eq!(rob.len(), 1);
+        assert!(rob.entry(s0).is_some());
     }
 
     #[test]

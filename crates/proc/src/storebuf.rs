@@ -147,34 +147,30 @@ impl StoreBuffer {
     /// Sequence numbers of entries eligible to issue this cycle, oldest
     /// first: released, still waiting, and not blocked by an earlier
     /// entry's delay arc.
-    #[must_use]
-    pub fn issuable(&self, model: Model) -> Vec<Seq> {
+    pub fn issuable(&self, model: Model) -> impl Iterator<Item = Seq> + '_ {
         self.entries
             .iter()
-            .filter(|e| {
+            .filter(move |e| {
                 e.rob_released
                     && matches!(e.state, SbState::Waiting)
                     && !self.blocked_by_earlier(model, e)
             })
             .map(|e| e.seq)
-            .collect()
     }
 
-    /// Entries that are *delayed* (waiting but not issuable) and have not
-    /// been prefetched — the prefetch unit's candidates (§3.2: prefetches
-    /// are generated for accesses "delayed due to consistency
-    /// constraints").
-    #[must_use]
-    pub fn prefetch_candidates(&self, model: Model) -> Vec<(Seq, Addr)> {
+    /// Sequence numbers of entries that are *delayed* (waiting but not
+    /// issuable) and have not been prefetched, oldest first — the
+    /// prefetch unit's candidates (§3.2: prefetches are generated for
+    /// accesses "delayed due to consistency constraints").
+    pub fn prefetch_candidates(&self, model: Model) -> impl Iterator<Item = Seq> + '_ {
         self.entries
             .iter()
-            .filter(|e| {
+            .filter(move |e| {
                 matches!(e.state, SbState::Waiting)
                     && !e.prefetch_sent
                     && (!e.rob_released || self.blocked_by_earlier(model, e))
             })
-            .map(|e| (e.seq, e.addr))
-            .collect()
+            .map(|e| e.seq)
     }
 
     /// Removes a completed entry, returning it (the spec buffer nullifies
@@ -270,9 +266,13 @@ mod tests {
         sb.push(entry(2, AccessClass::STORE, 0x200));
         sb.mark_released(1);
         sb.mark_released(2);
-        assert_eq!(sb.issuable(Model::Sc), vec![1], "only the oldest store");
+        assert_eq!(
+            sb.issuable(Model::Sc).collect::<Vec<_>>(),
+            vec![1],
+            "only the oldest store"
+        );
         sb.complete(1);
-        assert_eq!(sb.issuable(Model::Sc), vec![2]);
+        assert_eq!(sb.issuable(Model::Sc).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]
@@ -285,22 +285,22 @@ mod tests {
         sb.mark_released(2);
         sb.mark_released(3);
         assert_eq!(
-            sb.issuable(Model::Rc),
+            sb.issuable(Model::Rc).collect::<Vec<_>>(),
             vec![1, 2],
             "ordinary stores pipeline; the release waits"
         );
         sb.complete(1);
         sb.complete(2);
-        assert_eq!(sb.issuable(Model::Rc), vec![3]);
+        assert_eq!(sb.issuable(Model::Rc).collect::<Vec<_>>(), vec![3]);
     }
 
     #[test]
     fn unreleased_entries_never_issue() {
         let mut sb = StoreBuffer::new();
         sb.push(entry(1, AccessClass::STORE, 0x100));
-        assert!(sb.issuable(Model::Rc).is_empty());
+        assert_eq!(sb.issuable(Model::Rc).next(), None);
         sb.mark_released(1);
-        assert_eq!(sb.issuable(Model::Rc), vec![1]);
+        assert_eq!(sb.issuable(Model::Rc).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -311,18 +311,21 @@ mod tests {
         sb.mark_released(1);
         // Under SC, entry 1 is issuable (not a candidate); entry 2 is
         // delayed behind it.
-        let cands = sb.prefetch_candidates(Model::Sc);
-        assert_eq!(cands, vec![(2, Addr(0x200))]);
+        let cands: Vec<Seq> = sb.prefetch_candidates(Model::Sc).collect();
+        assert_eq!(cands, vec![2]);
         // Marking prefetch_sent removes it.
         sb.get_mut(2).unwrap().prefetch_sent = true;
-        assert!(sb.prefetch_candidates(Model::Sc).is_empty());
+        assert_eq!(sb.prefetch_candidates(Model::Sc).next(), None);
     }
 
     #[test]
     fn unreleased_entry_is_prefetch_candidate() {
         let mut sb = StoreBuffer::new();
         sb.push(entry(1, AccessClass::STORE, 0x100));
-        assert_eq!(sb.prefetch_candidates(Model::Rc), vec![(1, Addr(0x100))]);
+        assert_eq!(
+            sb.prefetch_candidates(Model::Rc).collect::<Vec<_>>(),
+            vec![1]
+        );
     }
 
     #[test]
