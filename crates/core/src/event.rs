@@ -30,7 +30,7 @@
 //! discovered), but stale entries — a squashed ALU's finish cycle, a
 //! dropped hit completion — may remain queued. The engine steps the
 //! machine at every popped cycle; stepping a cycle where nothing happens
-//! is byte-identical to the per-cycle loop doing the same, so spurious
+//! is byte-identical to a never-jumping run doing the same, so spurious
 //! wake-ups cost only time, never correctness. Publishing into the past
 //! is a contract violation (`debug_assert`ed); release builds clamp such
 //! entries forward so a stale horizon can never produce a zero-length

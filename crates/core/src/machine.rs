@@ -95,10 +95,12 @@ impl RunTelemetry {
     }
 }
 
-/// Which scheduler drives [`Machine::run`]. The produced [`RunReport`]
-/// (and trace stream) is byte-identical under either engine; only
-/// wall-clock time differs — pinned by the engine-differential tests in
-/// `tests/fast_forward.rs` and the E6 CI `cmp`.
+/// Which scheduler drives [`Machine::run`]. Both run the same
+/// [`Machine::step`]; they differ only in whether frozen cycles are
+/// jumped over. The produced [`RunReport`] (and trace stream) is
+/// byte-identical under either engine; only wall-clock time differs —
+/// pinned by the engine-differential tests in `tests/fast_forward.rs` and
+/// the E6 CI `cmp`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Discrete-event scheduling (the default): components publish every
@@ -108,8 +110,9 @@ pub enum Engine {
     /// cycles.
     #[default]
     Event,
-    /// The plain per-cycle loop (`--legacy-step`): every component steps
-    /// every cycle. Kept as the differential oracle for the event engine.
+    /// The same tick, never jumping (`--legacy-step`): every cycle is
+    /// stepped. Kept as the differential oracle for the jump and its
+    /// replay of skipped-cycle accounting, checks and watchdog edges.
     LegacyStep,
 }
 
@@ -174,17 +177,6 @@ impl Machine {
         self.engine = engine;
     }
 
-    /// Back-compat alias for [`Self::set_engine`]: `false` selects the
-    /// per-cycle loop (the `--no-fast-forward` / `--legacy-step` escape
-    /// hatch), `true` the event engine.
-    pub fn set_fast_forward(&mut self, on: bool) {
-        self.engine = if on {
-            Engine::Event
-        } else {
-            Engine::LegacyStep
-        };
-    }
-
     /// Test hook (stale-horizon regression): publishes a wake-up exactly
     /// as a buggy component reporting an already-elapsed cycle would,
     /// bypassing the queue's past-cycle debug assertion. The engine must
@@ -241,12 +233,13 @@ impl Machine {
         self.cycle
     }
 
-    /// Advances one cycle; returns `true` when every core has halted.
+    /// Advances one cycle: the memory system ticks, then every core;
+    /// returns `true` when every core has halted.
     pub fn step(&mut self) -> bool {
         self.mem.tick(self.cycle);
         let mut all_halted = true;
         for p in &mut self.procs {
-            p.tick(self.cycle, &mut self.mem);
+            p.tick_event(self.cycle, &mut self.mem);
             all_halted &= p.halted();
         }
         self.cycle += 1;
@@ -293,29 +286,23 @@ impl Machine {
         let mut timed_out = true;
         let mut failure = None;
         let event_engine = self.engine == Engine::Event;
-        if event_engine {
-            // The machine may have been manually stepped with the
-            // per-cycle tick (which discards event bookkeeping) before
-            // `run`; rebuild the pending-work queues and republish every
-            // already-scheduled wake-up from architectural state.
-            for p in &mut self.procs {
-                p.prepare_event_engine();
-            }
-        }
         while self.cycle < self.cfg.max_cycles {
-            let halted = if event_engine {
-                self.step_event()
-            } else {
-                self.step()
-            };
+            let halted = self.step();
             // Collect the per-component progress verdicts and published
             // wake-ups every stepped cycle (the flags accumulate until
-            // taken). Pure bookkeeping: no observable effect on the run.
+            // taken; wake-ups published by manual steps before `run` are
+            // picked up here too). Pure bookkeeping: no observable effect
+            // on the run. A loop that never jumps never pops the queue,
+            // so it drops the wake-ups instead of growing it.
             let mut progress = self.mem.take_progress();
             let events = &mut self.events;
             for p in &mut self.procs {
                 progress |= p.take_progress();
-                p.drain_wakeups(|at| events.schedule(at));
+                if event_engine {
+                    p.drain_wakeups(|at| events.schedule(at));
+                } else {
+                    p.drain_wakeups(|_| {});
+                }
             }
             if halted {
                 telemetry.stepped_cycles += 1;
@@ -357,20 +344,6 @@ impl Machine {
             }
         }
         (self.into_report_with(timed_out, failure), telemetry)
-    }
-
-    /// Advances one cycle with the event-engine tick (consuming the
-    /// per-core pending-work queues); returns `true` when every core has
-    /// halted. See [`Self::step`] for the per-cycle equivalent.
-    fn step_event(&mut self) -> bool {
-        self.mem.tick(self.cycle);
-        let mut all_halted = true;
-        for p in &mut self.procs {
-            p.tick_event(self.cycle, &mut self.mem);
-            all_halted &= p.halted();
-        }
-        self.cycle += 1;
-        all_halted
     }
 
     /// Jumps from the current (frozen) cycle to the earliest queued

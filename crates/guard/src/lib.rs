@@ -128,6 +128,11 @@ pub enum InvariantKind {
     /// A core's per-cause cycle breakdown does not sum to the cycles it
     /// has been accounted for (one classified bucket per tick).
     CycleBreakdownSum,
+    /// A core's pending-execute worklist is out of program order, or
+    /// misses a reorder-buffer entry that can act without another result
+    /// broadcast (an executing ALU, or an operand-ready unstarted ALU or
+    /// unresolved branch) — the execute stage would never visit it.
+    ExecQueueComplete,
 }
 
 impl fmt::Display for InvariantKind {
@@ -145,6 +150,7 @@ impl fmt::Display for InvariantKind {
             InvariantKind::CycleBreakdownSum => {
                 "cycle breakdown components do not sum to total cycles"
             }
+            InvariantKind::ExecQueueComplete => "execute worklist misses a startable entry",
         };
         f.write_str(s)
     }

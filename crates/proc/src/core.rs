@@ -3,9 +3,9 @@
 //!
 //! ## Cycle structure
 //!
-//! Each [`Processor::tick`] runs these stages in order (the memory system
-//! has already ticked, so this cycle's fills and coherence traffic are
-//! waiting):
+//! Each [`Processor::tick_event`] runs these stages in order (the memory
+//! system has already ticked, so this cycle's fills and coherence traffic
+//! are waiting):
 //!
 //! 1. **Drain** — consume memory events: completions finish loads/stores;
 //!    invalidations, updates, and replacements are matched against the
@@ -17,7 +17,8 @@
 //! 2. **Spec retire** — FIFO-retire speculative-load-buffer entries whose
 //!    conditions hold; their loads become non-speculative.
 //! 3. **Execute** — ALU completion and in-order branch resolution (with
-//!    misprediction squash).
+//!    misprediction squash), walking the pending-execute worklist
+//!    rather than the whole reorder buffer.
 //! 4. **Commit** — in-order retirement from the reorder buffer; a store
 //!    reaching the head is *released* to the store buffer; under SC/PC
 //!    the head store retires only when it completes (serializing
@@ -43,7 +44,7 @@
 
 use crate::btb::Predictor;
 use crate::config::ProcConfig;
-use crate::rob::{Rob, Seq};
+use crate::rob::{Rob, RobEntry, Seq};
 use crate::specbuf::{SpecEntry, SpeculativeLoadBuffer};
 use crate::stats::ProcStats;
 use crate::storebuf::{ForwardResult, SbEntry, SbState, StoreBuffer};
@@ -152,24 +153,23 @@ pub struct Processor {
     /// Whether this cycle's port consumer was a prefetch (the stall
     /// counter must still see waiting demand work behind it).
     port_used_by_prefetch: bool,
-    /// Pending execute work for the event engine, in program order:
-    /// ALU entries that are executing (started, finish pending) plus
-    /// ALU/branch entries whose operands are ready but which have not
-    /// started/resolved yet. Entries enter at fetch (when their operands
+    /// Pending execute work, in program order: ALU entries that are
+    /// executing (started, finish pending) plus ALU/branch entries whose
+    /// operands are ready but which have not started/resolved yet (see
+    /// [`pending_execute`]). Entries enter at fetch (when their operands
     /// resolve at rename) or via [`Self::publish_value`] when a result
     /// broadcast resolves their last waiting operand; squash prunes the
-    /// younger tail. Consumed only by [`Self::tick_event`] (the legacy
-    /// per-cycle tick clears it). Entries still waiting on an in-flight
-    /// producer are deliberately absent — they cannot act this cycle,
-    /// and the producer's broadcast will enqueue them the cycle they
-    /// become startable.
+    /// younger tail, and the execute stage drops finished or departed
+    /// entries lazily. Entries still waiting on an in-flight producer are
+    /// deliberately absent — they cannot act this cycle, and the
+    /// producer's broadcast will enqueue them the cycle they become
+    /// startable. Completeness is the `ExecQueueComplete` invariant.
     exec_queue: VecDeque<Seq>,
     /// Wake-up cycles published since the machine last drained them:
     /// every future cycle at which this core can change state on its own
     /// (a scheduled hit completion, an ALU finish, the refetch stall
-    /// expiring), recorded when the event is *created*. The event engine
-    /// feeds them into the machine's calendar queue; the legacy tick
-    /// discards them.
+    /// expiring), recorded when the event is *created*. The machine feeds
+    /// them into its calendar queue, or drops them when it never jumps.
     wakeups: Vec<u64>,
     /// Set by every architectural mutation this tick. `false` after a
     /// tick means the core is frozen until an external event: nothing a
@@ -378,31 +378,18 @@ impl Processor {
         }
     }
 
-    /// Rebuilds the event-engine bookkeeping from the current
-    /// architectural state: the pending-execute worklist and a wake-up
-    /// for every already-scheduled future event (hit completions, ALU
-    /// finishes, the refetch stall). Called once when the event engine
-    /// takes over — the machine may have been manually stepped with the
-    /// legacy per-cycle tick first, which discards both.
+    /// Rebuilds the pending-execute worklist and republishes a wake-up for
+    /// every already-scheduled future event (hit completions, ALU
+    /// finishes, the refetch stall) from the current architectural state.
+    /// The tick maintains both from construction, so a fresh core has
+    /// nothing to rebuild; this serves a loop that dropped drained
+    /// wake-ups and wants to start jumping.
     pub fn prepare_event_engine(&mut self) {
         self.exec_queue.clear();
         self.wakeups.clear();
         for e in self.rob.iter() {
-            // The worklist holds entries that can act without another
-            // broadcast: executing ALUs (their finish is self-driven) and
-            // operand-ready unstarted ALUs / unresolved branches. Entries
-            // still waiting on an in-flight producer are enqueued by that
-            // producer's eventual broadcast (`publish_value`).
-            match &e.instr {
-                Instr::Alu { .. }
-                    if e.value.is_none() && (e.finishes_at.is_some() || e.srcs_ready()) =>
-                {
-                    self.exec_queue.push_back(e.seq);
-                }
-                Instr::Branch { .. } if !e.resolved && e.srcs_ready() => {
-                    self.exec_queue.push_back(e.seq);
-                }
-                _ => {}
+            if pending_execute(e) {
+                self.exec_queue.push_back(e.seq);
             }
             if let Some(f) = e.finishes_at {
                 if e.value.is_none() {
@@ -422,9 +409,13 @@ impl Processor {
     /// Checks the core's buffer-ordering invariants — the reorder buffer,
     /// store buffer, and speculative-load buffer must each hold entries in
     /// strictly increasing program (sequence) order (retirement and the
-    /// associative hazard match both assume it) — and the cycle-accounting
+    /// associative hazard match both assume it) — the cycle-accounting
     /// identity: breakdown components sum to exactly the cycles this core
-    /// has been accounted for (`halted_at` once halted, `now` while live).
+    /// has been accounted for (`halted_at` once halted, `now` while live)
+    /// — and the execute worklist's completeness: `exec_queue` is in
+    /// strictly increasing program order and holds every entry that can
+    /// act without another result broadcast (stale extras are tolerated;
+    /// the execute stage drops them lazily).
     pub fn check_invariants(&self, now: u64) -> Result<(), SimError> {
         let accounted = if self.halted {
             self.stats.halted_at
@@ -443,6 +434,24 @@ impl Processor {
                 ),
             ));
         }
+        let exec_queue_broken = |detail: String| {
+            SimError::invariant(
+                now,
+                Some(self.id),
+                None,
+                InvariantKind::ExecQueueComplete,
+                detail,
+            )
+        };
+        let q = &self.exec_queue;
+        if let Some((a, b)) = q.iter().zip(q.iter().skip(1)).find(|(a, b)| a >= b) {
+            return Err(exec_queue_broken(format!(
+                "exec_queue seq {b} follows seq {a}"
+            )));
+        }
+        // Merge-walk: both sequences ascend, so the queue cursor only
+        // moves forward, skipping stale entries older than the ROB entry.
+        let mut queued = q.iter().copied().peekable();
         let mut prev: Option<Seq> = None;
         for e in self.rob.iter() {
             if prev.is_some_and(|p| p >= e.seq) {
@@ -455,6 +464,13 @@ impl Processor {
                 ));
             }
             prev = Some(e.seq);
+            while queued.next_if(|&s| s < e.seq).is_some() {}
+            if pending_execute(e) && queued.next_if_eq(&e.seq).is_none() {
+                return Err(exec_queue_broken(format!(
+                    "ROB entry seq {} can execute but is not in exec_queue",
+                    e.seq
+                )));
+            }
         }
         let mut prev: Option<Seq> = None;
         for e in self.sb.iter() {
@@ -521,17 +537,15 @@ impl Processor {
         }
     }
 
-    /// Runs one cycle. The memory system must already have ticked to
-    /// `now`.
-    pub fn tick(&mut self, now: u64, mem: &mut MemorySystem) {
+    /// Runs one cycle (the stages in the module docs). The memory system
+    /// must already have ticked to `now`. Every wake-up the cycle creates
+    /// is published for [`Self::drain_wakeups`], so the caller may jump
+    /// straight to the next one whenever [`Self::take_progress`] reports
+    /// a frozen core.
+    pub fn tick_event(&mut self, now: u64, mem: &mut MemorySystem) {
         if self.halted {
             return;
         }
-        // The per-cycle engine never consumes event-engine bookkeeping;
-        // clearing it here keeps both bounded when this tick drives the
-        // whole run (legacy engine, unit tests stepping manually).
-        self.exec_queue.clear();
-        self.wakeups.clear();
         self.port_used = false;
         self.port_used_by_prefetch = false;
         self.stage_drain(now, mem);
@@ -546,32 +560,7 @@ impl Processor {
         self.finish_tick(now, retired);
     }
 
-    /// Runs one cycle under the discrete-event engine: identical stage
-    /// order and semantics to [`Self::tick`], except the execute stage is
-    /// driven by the pending-work queue (executing ALUs plus startable
-    /// ALU/branch entries) instead of scanning the whole reorder buffer,
-    /// and the event-engine bookkeeping (`exec_queue`, `wakeups`) is
-    /// consumed rather than cleared. Byte-identical state evolution is
-    /// pinned by the engine-differential tests in `tests/fast_forward.rs`.
-    pub fn tick_event(&mut self, now: u64, mem: &mut MemorySystem) {
-        if self.halted {
-            return;
-        }
-        self.port_used = false;
-        self.port_used_by_prefetch = false;
-        self.stage_drain(now, mem);
-        self.stage_spec_retire(now);
-        self.stage_execute_event(now);
-        let retired = self.stage_commit(now);
-        self.stage_fetch(now);
-        self.stage_dispatch(now, mem);
-        self.stage_store_issue(now, mem);
-        self.stage_load_issue(now, mem);
-        self.stage_prefetch(now, mem);
-        self.finish_tick(now, retired);
-    }
-
-    /// The shared tick epilogue: port-stall accounting, the halt check,
+    /// The tick epilogue: port-stall accounting, the halt check,
     /// and per-cause cycle attribution.
     fn finish_tick(&mut self, now: u64, retired: u64) {
         // Demand work waited while no demand access took the port —
@@ -868,9 +857,9 @@ impl Processor {
     /// funnels every consumer that just became startable into the
     /// pending-execute worklist. Sorted insertion keeps the worklist in
     /// program order; a woken consumer is always younger than `seq`, so
-    /// when this is called from inside the execute stage's scan it can
-    /// only insert *ahead of* the cursor — the same-cycle cascade order
-    /// matches the legacy full-buffer scan exactly.
+    /// when this is called from inside the execute stage's walk it can
+    /// only insert *ahead of* the cursor — a zero-latency finish readies
+    /// its consumers in the same cycle, in program order.
     fn publish_value(&mut self, seq: Seq, value: u64) {
         self.rob.set_value(seq, value);
         while let Some(s) = self.rob.pop_woken() {
@@ -987,91 +976,16 @@ impl Processor {
     // Stage 3: execute (ALU completion, in-order branch resolution).
     // ------------------------------------------------------------------
 
+    /// Walks the pending-execute worklist: `exec_queue` holds the
+    /// executing ALUs and the operand-ready unstarted ALUs / unresolved
+    /// branches, in program order, so no reorder-buffer entry outside it
+    /// can act this cycle (the `ExecQueueComplete` invariant). An entry
+    /// can only *become* startable through a result broadcast, which
+    /// enqueues it on the spot ([`Self::publish_value`]), including the
+    /// mid-walk cascade where a zero-latency finish readies a younger
+    /// consumer in the same cycle (woken consumers are younger, so they
+    /// insert ahead of the cursor).
     fn stage_execute(&mut self, now: u64) {
-        let seqs: Vec<Seq> = self.rob.iter().map(|e| e.seq).collect();
-        for seq in seqs {
-            let Some(e) = self.rob.entry(seq) else {
-                continue; // squashed by an older branch this cycle
-            };
-            match &e.instr {
-                Instr::Alu { op, latency, .. } => {
-                    let op = *op;
-                    let latency = u64::from(*latency);
-                    if e.value.is_some() {
-                        continue;
-                    }
-                    if e.finishes_at.is_none() && e.srcs_ready() {
-                        let v1 = e.src1_value();
-                        let v2 = e.src2_value();
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.finishes_at = Some(now + latency);
-                        // Stash the computed result via value at finish.
-                        let result = op.apply(v1, v2);
-                        e.value = None;
-                        e.src1 = Some(crate::rob::Src::Ready(result)); // result parked in src1
-                        self.progress = true;
-                        if latency > 0 {
-                            self.wakeups.push(now + latency);
-                        }
-                    }
-                    let e = self.rob.entry(seq).expect("present");
-                    if e.finishes_at.is_some_and(|f| f <= now) && e.value.is_none() {
-                        let result = e.src1_value();
-                        self.publish_value(seq, result);
-                        if let Some(e) = self.rob.entry_mut(seq) {
-                            e.completed = true;
-                        }
-                        self.progress = true;
-                    }
-                }
-                Instr::Branch {
-                    cond,
-                    target,
-                    hint: _,
-                    ..
-                } => {
-                    if e.resolved || !e.srcs_ready() {
-                        continue;
-                    }
-                    let cond = *cond;
-                    let target = *target;
-                    let pc = e.pc;
-                    let predicted = e.predicted_taken.expect("branches are predicted at fetch");
-                    let actual = cond.apply(e.src1_value(), e.src2_value());
-                    self.stats.branches += 1;
-                    self.progress = true;
-                    self.pred.resolve(pc, predicted, actual, target);
-                    {
-                        let e = self.rob.entry_mut(seq).expect("present");
-                        e.resolved = true;
-                        e.completed = true;
-                    }
-                    if actual != predicted {
-                        self.stats.branch_mispredicts += 1;
-                        let new_pc = if actual { target } else { pc + 1 };
-                        self.emit(now, seq, TraceKind::BranchMispredicted);
-                        self.squash(now, seq + 1, new_pc, false);
-                        break; // everything younger is gone
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The execute stage driven by the pending-work queue instead of a
-    /// full reorder-buffer scan: `exec_queue` holds the executing ALUs
-    /// and the operand-ready unstarted ALUs / unresolved branches, in
-    /// program order. Semantically identical to [`Self::stage_execute`]:
-    /// the legacy scan's visits to entries absent from the queue are
-    /// no-ops (finished entries are skipped, operand-waiting entries
-    /// fail `srcs_ready`), and an entry can only *become* startable
-    /// through a result broadcast — which enqueues it on the spot
-    /// ([`Self::publish_value`]), including the mid-scan cascade where a
-    /// zero-latency finish readies a younger consumer in the same cycle
-    /// (woken consumers are younger, so they insert ahead of the
-    /// cursor, exactly where the legacy scan would reach them).
-    fn stage_execute_event(&mut self, now: u64) {
         let mut i = 0;
         while i < self.exec_queue.len() {
             let seq = self.exec_queue[i];
@@ -1911,6 +1825,17 @@ impl Processor {
     }
 }
 
+/// Whether `e` can act without another result broadcast — an executing
+/// ALU (its finish is self-driven), an operand-ready unstarted ALU, or an
+/// operand-ready unresolved branch — and so must be in `exec_queue`.
+fn pending_execute(e: &RobEntry) -> bool {
+    match e.instr {
+        Instr::Alu { .. } => e.value.is_none() && (e.finishes_at.is_some() || e.srcs_ready()),
+        Instr::Branch { .. } => !e.resolved && e.srcs_ready(),
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1930,7 +1855,7 @@ mod tests {
         let mut p = Processor::new(0, ProcConfig::paper(techniques), model, program);
         for cycle in 0..100_000 {
             mem.tick(cycle);
-            p.tick(cycle, &mut mem);
+            p.tick_event(cycle, &mut mem);
             if p.halted() {
                 return (p.stats().halted_at, p, mem);
             }
@@ -2127,7 +2052,7 @@ mod tests {
             let mut p = Processor::new(0, cfg, Model::Sc, prog.clone());
             for cycle in 0..50_000 {
                 mem.tick(cycle);
-                p.tick(cycle, &mut mem);
+                p.tick_event(cycle, &mut mem);
                 if p.halted() {
                     break;
                 }
@@ -2151,7 +2076,7 @@ mod tests {
             let mut p = Processor::new(0, cfg, Model::Sc, prog.clone());
             for cycle in 0..10_000 {
                 mem.tick(cycle);
-                p.tick(cycle, &mut mem);
+                p.tick_event(cycle, &mut mem);
                 if p.halted() {
                     return p.stats().halted_at;
                 }
@@ -2162,6 +2087,46 @@ mod tests {
         let wide = run_with_commit(None);
         assert!(narrow >= wide, "narrow commit cannot be faster");
         assert!(narrow >= 20, "1-wide commit needs >= 20 cycles for 20 ALUs");
+    }
+
+    #[test]
+    fn dropped_exec_queue_entry_violates_exec_queue_complete() {
+        // R3 has no in-flight producer, so the ALU's operands resolve at
+        // rename and fetch enqueues it.
+        let prog = ProgramBuilder::new("t")
+            .load(R1, A)
+            .alu(R2, mcsim_isa::AluOp::Add, R3, 5u64)
+            .halt()
+            .build()
+            .unwrap();
+        let mut mem = MemorySystem::new(MemConfig::paper(), 1);
+        let mut p = Processor::new(0, ProcConfig::paper(Techniques::NONE), Model::Sc, prog);
+        let mut now = 0;
+        let alu = loop {
+            assert!(now < 100, "no rename-ready ALU reached the worklist");
+            mem.tick(now);
+            p.tick_event(now, &mut mem);
+            now += 1;
+            let queued_alu = p.exec_queue.iter().copied().find(|&s| {
+                p.rob
+                    .entry(s)
+                    .is_some_and(|e| matches!(e.instr, Instr::Alu { .. }) && pending_execute(e))
+            });
+            if let Some(seq) = queued_alu {
+                break seq;
+            }
+        };
+        p.check_invariants(now)
+            .expect("the intact worklist is complete");
+        p.exec_queue.retain(|&s| s != alu);
+        let err = p
+            .check_invariants(now)
+            .expect_err("a startable ALU missing from the worklist");
+        assert_eq!(
+            err.violated_invariant(),
+            Some(InvariantKind::ExecQueueComplete),
+            "{err}"
+        );
     }
 
     #[test]

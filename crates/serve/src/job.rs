@@ -133,7 +133,8 @@ pub struct StatusBody {
 pub struct ExecTemplate {
     /// Worker threads per sweep (`0` is treated as `1`).
     pub jobs: usize,
-    /// Discrete-event engine (`true`) or the per-cycle reference loop.
+    /// Discrete-event engine (`true`) or the same tick stepped every
+    /// cycle, never jumping (`--legacy-step`).
     pub fast_forward: bool,
 }
 

@@ -63,8 +63,8 @@ OPTIONS:
     --jobs N           worker threads per sweep (0 = one)  [default: 1]
     --max-pending N    admission bound; exceeding it answers 429
                        [default: 8]
-    --legacy-step      drive points with the per-cycle loop instead of
-                       the discrete-event engine (slower, bit-identical;
+    --legacy-step      event tick, never jump: step every cycle of
+                       every point (bit-identical results;
                        --no-fast-forward is an accepted alias)
     --addr-file FILE   write the actual bound address to FILE (for
                        scripts binding port 0)

@@ -54,10 +54,10 @@ const USAGE: &str = "usage: mcsim-sweep [options]
                      (default 300); a wedged worker is killed and recorded
   --inject FAULT     inject a deterministic protocol fault into every
                      point (drop-inv[:N] | corrupt[:N] | stuck-mshr[:N])
-  --legacy-step      run the per-cycle reference loop instead of the
-                     discrete-event engine (much slower; results are
-                     bit-identical either way; --no-fast-forward is an
-                     accepted alias)
+  --legacy-step      event tick, never jump: step every cycle instead of
+                     jumping over frozen ones (results are bit-identical
+                     either way; --no-fast-forward is an accepted
+                     alias)
   --trace DIR        run with event tracing and leave a Chrome trace-event
                      JSON post-mortem (point-NNNN.trace.json) in DIR for
                      every point that fails or times out

@@ -49,10 +49,10 @@ pub struct ExecOptions {
     pub jobs: usize,
     /// Emit periodic progress telemetry to stderr.
     pub progress: bool,
-    /// Run the discrete-event engine (`true`, default) or the per-cycle
-    /// `--legacy-step` reference loop (`false`). Results are
-    /// bit-identical either way; off trades wall-clock for a per-cycle
-    /// reference run.
+    /// Run the discrete-event engine (`true`, default) or the same tick
+    /// stepped every cycle, never jumping (`--legacy-step`, `false`).
+    /// Results are bit-identical either way; off trades wall-clock for
+    /// a reference run of the jump logic.
     pub fast_forward: bool,
     /// When set, every point runs with event tracing enabled and any
     /// point that does not finish cleanly (timeout, guard failure)

@@ -83,9 +83,9 @@ OPTIONS (run):
     --dump-on-failure <path>      write a JSON crash snapshot (failure,
                                   summary, trace tail) if the run fails;
                                   implies tracing
-    --legacy-step                 drive the run with the per-cycle loop
-                                  instead of the discrete-event engine
-                                  (slower; the report is bit-identical
+    --legacy-step                 event tick, never jump: step every
+                                  cycle instead of jumping over frozen
+                                  ones (the report is bit-identical
                                   either way). --no-fast-forward is an
                                   accepted alias.
     --trace <path>                write the event trace to <path> ('-' for
@@ -338,8 +338,8 @@ struct RunOpts {
     timeline: bool,
     breakdown: bool,
     json: bool,
-    /// Drive the run with the per-cycle loop (`--legacy-step`, alias
-    /// `--no-fast-forward`) instead of the discrete-event engine.
+    /// Step every cycle, never jumping (`--legacy-step`, alias
+    /// `--no-fast-forward`), instead of the discrete-event engine.
     legacy_step: bool,
     dump_on_failure: Option<String>,
 }

@@ -1,18 +1,21 @@
-//! The discrete-event engine must be invisible in every report.
+//! The discrete-event engine's jumps must be invisible in every report.
 //!
 //! The default machine loop is event-driven (DESIGN.md §event-queue):
 //! every latency source schedules its wake-up cycle into an event queue,
 //! and the loop jumps from stepped cycle to stepped cycle, replaying all
 //! per-cycle accounting — stall breakdowns, latency histograms,
-//! invariant cadence, watchdog edges — across each jump. The per-cycle
-//! reference loop survives behind `--legacy-step` as the differential
-//! oracle, and a [`RunReport`] must be **bit-identical** under either
-//! engine. These tests pin that equivalence:
+//! invariant cadence, watchdog edges — across each jump. `--legacy-step`
+//! runs the same tick but never jumps, stepping every cycle; it is the
+//! differential oracle for the jump and its replay, and a [`RunReport`]
+//! must be **bit-identical** under either engine. (Whether the tick's
+//! execute worklist misses an entry is the guard's `ExecQueueComplete`
+//! invariant, checked every cycle in debug builds.) These tests pin that
+//! equivalence:
 //!
 //! 1. serialized-report equality (plus an explicit [`CycleBreakdown`]
 //!    comparison) across random workloads × the full extended model ×
 //!    technique matrix (property-quantified over `Model::ALL_EXTENDED`);
-//! 2. the Figure 2 cycle pins under the legacy engine (the default
+//! 2. the Figure 2 cycle pins under `--legacy-step` (the default
 //!    event-engine path is pinned by `paper_examples.rs`) and the
 //!    Figure 5 trace under both;
 //! 3. watchdog edges that fall *inside* a jumped span still fire — the
@@ -34,7 +37,7 @@ use mcsim_consistency::Model;
 use proptest::prelude::*;
 
 /// Runs the same configuration under the event engine and the
-/// `--legacy-step` per-cycle oracle and returns the event-engine
+/// never-jumping `--legacy-step` oracle and returns the event-engine
 /// (report, telemetry) pair, after asserting the reports serialize
 /// byte-identically and the telemetry covers the same span of time.
 ///
