@@ -5,9 +5,8 @@
 //! Section 5 bar charts are drawn. Also prints the stacked-bar view of
 //! the walk-through cells (SC base 301, RC base 202, SC pf+spec).
 
-use mcsim_bench::base_config;
 use mcsim_consistency::Model;
-use mcsim_core::{render_breakdown, run_matrix, MatrixRow};
+use mcsim_core::{render_breakdown, run_matrix, MachineConfig, MatrixRow};
 use mcsim_proc::Techniques;
 use mcsim_workloads::paper;
 use std::fmt::Write as _;
@@ -51,7 +50,7 @@ fn breakdown_table(title: &str, rows: &[MatrixRow]) -> String {
 
 fn matrix_for(workload: &'static str) -> Vec<MatrixRow> {
     run_matrix(
-        &base_config(),
+        &MachineConfig::paper(),
         &Model::ALL,
         &Techniques::ALL,
         move || match workload {

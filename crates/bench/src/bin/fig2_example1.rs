@@ -2,15 +2,15 @@
 //! model × technique matrix. Paper values: SC base 301, RC base 202,
 //! SC/RC with prefetch 103.
 
-use mcsim_bench::{base_config, markdown_table};
 use mcsim_consistency::Model;
-use mcsim_core::{format_table, run_matrix};
+use mcsim_core::{run_matrix, MachineConfig};
 use mcsim_proc::Techniques;
+use mcsim_sweep::{format_table, markdown_table};
 use mcsim_workloads::paper;
 
 fn main() {
     let rows = run_matrix(
-        &base_config(),
+        &MachineConfig::paper(),
         &Model::ALL,
         &Techniques::ALL,
         || vec![paper::example1()],

@@ -11,12 +11,14 @@ use mcsim_workloads::paper;
 fn main() {
     let mut cfg = MachineConfig::paper_with(Model::Sc, Techniques::BOTH);
     cfg.trace = true;
-    let new_d = 5;
     let mut m = Machine::new(
         cfg,
-        vec![paper::figure5_main(), paper::figure5_antagonist(50, new_d)],
+        vec![
+            paper::figure5_main(),
+            paper::figure5_antagonist(paper::FIG5_DELAY, paper::FIG5_NEW_D),
+        ],
     );
-    paper::setup_figure5(&mut m, new_d);
+    paper::setup_figure5(&mut m, paper::FIG5_NEW_D);
     let report = m.run();
     println!("Figure 5 — SC, speculative loads + prefetch for stores");
     println!("code: read A (dirty remote); write B; write C; read D (hit); read E[D]");

@@ -2,16 +2,16 @@
 //! values gate the addresses of later misses. Prefetching pipelines the
 //! misses but cannot consume hit values out of order; speculation can.
 
-use mcsim_bench::base_config;
 use mcsim_consistency::Model;
-use mcsim_core::{format_table, run_matrix};
+use mcsim_core::{run_matrix, MachineConfig};
 use mcsim_proc::Techniques;
+use mcsim_sweep::format_table;
 use mcsim_workloads::generators::hit_dependence_chain;
 
 fn main() {
     for (groups, misses) in [(4usize, 1usize), (4, 2), (4, 4), (8, 2)] {
         let rows = run_matrix(
-            &base_config(),
+            &MachineConfig::paper(),
             &[Model::Sc, Model::Rc],
             &Techniques::ALL,
             || {

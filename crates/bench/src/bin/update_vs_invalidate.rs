@@ -2,11 +2,11 @@
 //! protocol; under an update protocol a write cannot be partially
 //! serviced, so prefetching stops helping stores.
 
-use mcsim_bench::markdown_table;
 use mcsim_consistency::Model;
-use mcsim_core::{format_table, run_matrix, MachineConfig};
+use mcsim_core::{run_matrix, MachineConfig};
 use mcsim_mem::Protocol;
 use mcsim_proc::Techniques;
+use mcsim_sweep::{format_table, markdown_table};
 use mcsim_workloads::paper;
 
 fn main() {

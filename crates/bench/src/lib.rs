@@ -19,19 +19,10 @@
 //! | `latency_sweep` | sensitivity: miss latency 20–400 |
 //! | `window_sweep` | §3.2 — lookahead (ROB size) sensitivity |
 //!
-//! Criterion benches (`benches/`) measure the *simulator's* throughput so
-//! regressions in the implementation itself are visible.
-
-use mcsim_core::{MachineConfig, MatrixRow};
-
-/// Renders rows as a markdown table (used by the figure binaries so the
-/// output can be pasted into EXPERIMENTS.md verbatim). Thin wrapper over
-/// the generalized renderer in `mcsim-sweep`, kept for the binaries that
-/// still drive `run_matrix` directly.
-#[must_use]
-pub fn markdown_table(rows: &[MatrixRow]) -> String {
-    mcsim_sweep::markdown_table(rows)
-}
+//! The binaries draw their tables with `mcsim_sweep::table` and start
+//! from `MachineConfig::paper()`. Criterion benches (`benches/`) measure
+//! the *simulator's* throughput so regressions in the implementation
+//! itself are visible.
 
 /// Worker-thread count from a `--jobs N` command-line argument
 /// (defaults to 1; experiment output is identical at any value).
@@ -47,41 +38,4 @@ pub fn jobs_from_args() -> usize {
         }
     }
     1
-}
-
-/// The standard paper-calibrated base configuration used by the figure
-/// binaries.
-#[must_use]
-pub fn base_config() -> MachineConfig {
-    MachineConfig::paper()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcsim_consistency::Model;
-    use mcsim_core::run_matrix;
-    use mcsim_isa::ProgramBuilder;
-    use mcsim_proc::Techniques;
-
-    #[test]
-    fn markdown_table_shape() {
-        let rows = run_matrix(
-            &base_config(),
-            &[Model::Sc],
-            &[Techniques::NONE, Techniques::BOTH],
-            || {
-                vec![ProgramBuilder::new("w")
-                    .store(0x1000u64, 1u64)
-                    .halt()
-                    .build()
-                    .unwrap()]
-            },
-            |_| {},
-        )
-        .expect("no cell fails");
-        let t = markdown_table(&rows);
-        assert!(t.starts_with("| model |"));
-        assert!(t.contains("| SC |"));
-    }
 }

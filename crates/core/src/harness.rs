@@ -1,9 +1,9 @@
-//! Experiment harness: model × technique matrices and table formatting.
+//! Experiment harness: model × technique matrices.
 //!
 //! Every quantitative claim of the paper is a comparison across the
 //! consistency-model / technique design space; this module runs such a
-//! matrix over a workload factory and renders the rows the way
-//! EXPERIMENTS.md (and the paper's prose) reports them.
+//! matrix over a workload factory. The `mcsim-sweep` crate's `table`
+//! module renders the rows the way EXPERIMENTS.md reports them.
 
 use crate::machine::{Machine, MachineConfig};
 use crate::report::RunReport;
@@ -85,7 +85,7 @@ impl std::error::Error for CellFailure {}
 /// the first cell whose run times out and reports it as an error, so
 /// callers (the sweep engine, CLIs) can record a failed cell instead of
 /// aborting the whole experiment.
-pub fn try_run_matrix(
+pub fn run_matrix(
     base: &MachineConfig,
     models: &[Model],
     techniques: &[Techniques],
@@ -119,90 +119,6 @@ pub fn try_run_matrix(
         }
     }
     Ok(rows)
-}
-
-/// Alias of [`try_run_matrix`]: every caller gets the same structured
-/// failure path (a [`CellFailure`] carrying the guard's [`SimError`]
-/// when one produced it) instead of an unwind.
-pub fn run_matrix(
-    base: &MachineConfig,
-    models: &[Model],
-    techniques: &[Techniques],
-    workload: impl FnMut() -> Vec<Program>,
-    setup: impl FnMut(&mut Machine),
-) -> Result<Vec<MatrixRow>, CellFailure> {
-    try_run_matrix(base, models, techniques, workload, setup)
-}
-
-/// Renders matrix rows as a fixed-width table: one row per model, one
-/// column per technique combination (cycles), plus the speedup of the
-/// full proposal over the conventional implementation.
-#[must_use]
-pub fn format_table(title: &str, rows: &[MatrixRow]) -> String {
-    use std::fmt::Write as _;
-    let mut models: Vec<Model> = rows.iter().map(|r| r.model).collect();
-    models.dedup();
-    let mut techs: Vec<Techniques> = rows.iter().map(|r| r.techniques).collect();
-    techs.sort_by_key(|t| (t.prefetch, t.speculative_loads));
-    techs.dedup();
-
-    let mut out = String::new();
-    let _ = writeln!(out, "{title}");
-    let _ = write!(out, "{:<6}", "model");
-    for t in &techs {
-        let _ = write!(out, " {:>10}", t.label());
-    }
-    let _ = writeln!(out, " {:>9}", "speedup");
-    for m in models {
-        let _ = write!(out, "{:<6}", m.name());
-        let mut base = None;
-        let mut best = None;
-        for t in &techs {
-            let cell = rows
-                .iter()
-                .find(|r| r.model == m && r.techniques == *t)
-                .map(|r| r.cycles);
-            match cell {
-                Some(c) => {
-                    if *t == Techniques::NONE {
-                        base = Some(c);
-                    }
-                    if *t == Techniques::BOTH {
-                        best = Some(c);
-                    }
-                    let _ = write!(out, " {c:>10}");
-                }
-                None => {
-                    let _ = write!(out, " {:>10}", "-");
-                }
-            }
-        }
-        match (base, best) {
-            (Some(b), Some(x)) if x > 0 => {
-                let _ = writeln!(out, " {:>8.2}x", b as f64 / x as f64);
-            }
-            _ => {
-                let _ = writeln!(out, " {:>9}", "-");
-            }
-        }
-    }
-    out
-}
-
-/// The largest relative spread of cycle counts across models for one
-/// technique setting: `(max - min) / min`. The paper's equalization claim
-/// is that this spread collapses once both techniques are on.
-#[must_use]
-pub fn model_spread(rows: &[MatrixRow], t: Techniques) -> f64 {
-    let cycles: Vec<u64> = rows
-        .iter()
-        .filter(|r| r.techniques == t)
-        .map(|r| r.cycles)
-        .collect();
-    match (cycles.iter().min(), cycles.iter().max()) {
-        (Some(&min), Some(&max)) if min > 0 => (max - min) as f64 / min as f64,
-        _ => 0.0,
-    }
 }
 
 #[cfg(test)]
@@ -248,28 +164,10 @@ mod tests {
     }
 
     #[test]
-    fn equalization_spread_shrinks_with_both_techniques() {
-        let rows = run_matrix(
-            &MachineConfig::paper(),
-            &Model::ALL_EXTENDED,
-            &[Techniques::NONE, Techniques::BOTH],
-            two_store_workload,
-            |_| {},
-        )
-        .expect("no cell fails");
-        let before = model_spread(&rows, Techniques::NONE);
-        let after = model_spread(&rows, Techniques::BOTH);
-        assert!(
-            after < before,
-            "techniques must narrow the model gap: {before:.3} -> {after:.3}"
-        );
-    }
-
-    #[test]
-    fn try_run_matrix_reports_timeout_as_failed_cell() {
+    fn run_matrix_reports_timeout_as_failed_cell() {
         let mut cfg = MachineConfig::paper();
         cfg.max_cycles = 3; // far below any real run
-        let err = try_run_matrix(
+        let err = run_matrix(
             &cfg,
             &[Model::Sc],
             &[Techniques::NONE],
@@ -280,21 +178,5 @@ mod tests {
         assert_eq!(err.model, Model::Sc);
         assert_eq!(err.techniques, Techniques::NONE);
         assert!(err.to_string().contains("timed out"));
-    }
-
-    #[test]
-    fn table_renders() {
-        let rows = run_matrix(
-            &MachineConfig::paper(),
-            &[Model::Sc, Model::Rc],
-            &[Techniques::NONE, Techniques::BOTH],
-            two_store_workload,
-            |_| {},
-        )
-        .expect("no cell fails");
-        let t = format_table("demo", &rows);
-        assert!(t.contains("SC"));
-        assert!(t.contains("RC"));
-        assert!(t.contains("speedup"));
     }
 }

@@ -14,8 +14,8 @@
 //!   enumerator: the complete set of allowed final states under each
 //!   consistency model (SC membership is the paper's §4.2 correctness
 //!   statement; the conformance tests check every model against it).
-//! * [`harness`] — experiment helpers: run a model × technique matrix and
-//!   format the comparison tables of EXPERIMENTS.md.
+//! * [`harness`] — experiment helpers: run a model × technique matrix
+//!   (`mcsim-sweep`'s `table` module renders it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,10 +29,7 @@ pub mod trace;
 pub use mcsim_oracle as oracle;
 
 pub use event::EventQueue;
-pub use harness::{
-    conformance_config, format_table, model_spread, run_matrix, try_run_matrix, CellFailure,
-    MatrixRow,
-};
+pub use harness::{conformance_config, run_matrix, CellFailure, MatrixRow};
 pub use machine::{Engine, Machine, MachineConfig, RunTelemetry};
 pub use mcsim_guard::{
     FaultKind, GuardConfig, InvariantKind, SimError, SimErrorKind, StallClass, StallReport,

@@ -100,6 +100,10 @@ pub enum WorkloadSpec {
     PaperExample1,
     /// The paper's Example 2 consumer (§3.3/§4.1), with its memory setup.
     PaperExample2,
+    /// Figure 5's two-processor segment with the canonical antagonist
+    /// timing ([`paper::FIG5_DELAY`], [`paper::FIG5_NEW_D`]) and primed
+    /// caches.
+    Figure5,
     /// A strided walk over `n` lines, loads or stores.
     ArraySweep {
         /// Lines touched.
@@ -163,6 +167,7 @@ impl WorkloadSpec {
             WorkloadSpec::CriticalSections { label, .. } => label.clone(),
             WorkloadSpec::PaperExample1 => "example1".to_string(),
             WorkloadSpec::PaperExample2 => "example2".to_string(),
+            WorkloadSpec::Figure5 => "figure5".to_string(),
             WorkloadSpec::ArraySweep { n, stores } => {
                 format!(
                     "array_sweep({n},{})",
@@ -219,6 +224,10 @@ impl WorkloadSpec {
             }),
             WorkloadSpec::PaperExample1 => vec![paper::example1()],
             WorkloadSpec::PaperExample2 => vec![paper::example2()],
+            WorkloadSpec::Figure5 => vec![
+                paper::figure5_main(),
+                paper::figure5_antagonist(paper::FIG5_DELAY, paper::FIG5_NEW_D),
+            ],
             WorkloadSpec::ArraySweep { n, stores } => vec![array_sweep(*n, *stores)],
             WorkloadSpec::PipelineHandoff { stages, values } => pipeline_handoff(*stages, *values),
             WorkloadSpec::TicketLock { procs, increments } => {
@@ -246,12 +255,78 @@ impl WorkloadSpec {
     pub fn setup(&self, m: &mut Machine) {
         match self {
             WorkloadSpec::PaperExample2 => paper::setup_example2(m),
+            WorkloadSpec::Figure5 => paper::setup_figure5(m, paper::FIG5_NEW_D),
             WorkloadSpec::QueueLock { procs, increments } => {
                 for (a, v) in contended::queue_lock(*procs, *increments).1 {
                     m.write_memory(a, v);
                 }
             }
             _ => {}
+        }
+    }
+}
+
+/// The command-line form `name[:param...]` (`mcsim run --workload`):
+/// the paper's figures plus the contended scale-out library, with
+/// `:`-separated parameters (`ticket-lock:64:2` = 64 processors, 2
+/// increments each) and defaults for any left off. Every variant it
+/// names ignores the seed of [`WorkloadSpec::programs`].
+impl std::str::FromStr for WorkloadSpec {
+    type Err = String;
+
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let mut parts = spec.split(':');
+        let name = parts.next().unwrap_or("");
+        let params = parts
+            .map(|p| match p.parse::<usize>() {
+                Ok(n) if n >= 1 => Ok(n),
+                _ => Err(format!("bad workload parameter `{p}` in `{spec}`")),
+            })
+            .collect::<Result<Vec<usize>, String>>()?;
+        let p = |i: usize, default: usize| params.get(i).copied().unwrap_or(default);
+        let fixed = |w: WorkloadSpec| {
+            if params.is_empty() {
+                Ok(w)
+            } else {
+                Err(format!("workload `{name}` takes no parameters"))
+            }
+        };
+        match name {
+            "figure5" | "fig5" => fixed(WorkloadSpec::Figure5),
+            "example1" | "ex1" => fixed(WorkloadSpec::PaperExample1),
+            "example2" | "ex2" => fixed(WorkloadSpec::PaperExample2),
+            "ticket-lock" | "ticket" => Ok(WorkloadSpec::TicketLock {
+                procs: p(0, 4),
+                increments: p(1, 4),
+            }),
+            "queue-lock" | "queue" => Ok(WorkloadSpec::QueueLock {
+                procs: p(0, 4),
+                increments: p(1, 4),
+            }),
+            "seqlock" => {
+                let words = p(2, 4);
+                if !(1..=7).contains(&words) {
+                    return Err(format!("seqlock words must be 1..=7, got {words}"));
+                }
+                Ok(WorkloadSpec::Seqlock {
+                    readers: p(0, 2),
+                    updates: p(1, 4),
+                    words,
+                })
+            }
+            "rcu" => Ok(WorkloadSpec::Rcu {
+                readers: p(0, 2),
+                versions: p(1, 4),
+            }),
+            "false-sharing" | "fs" => Ok(WorkloadSpec::FalseSharing {
+                procs: p(0, 4),
+                iters: p(1, 8),
+                stride_words: p(2, 1),
+            }),
+            other => Err(format!(
+                "unknown workload `{other}` (try figure5, example1, example2, \
+                 ticket-lock, queue-lock, seqlock, rcu, false-sharing)"
+            )),
         }
     }
 }
@@ -590,6 +665,128 @@ mod tests {
             // Labels are distinct and parameter-revealing.
             assert!(spec.label().contains('('), "{}", spec.label());
         }
+    }
+
+    fn parse(s: &str) -> Result<WorkloadSpec, String> {
+        s.parse()
+    }
+
+    #[test]
+    fn from_str_aliases_equal_their_long_names() {
+        for (alias, long) in [
+            ("fig5", "figure5"),
+            ("ex1", "example1"),
+            ("ex2", "example2"),
+            ("ticket:8:2", "ticket-lock:8:2"),
+            ("queue:8:2", "queue-lock:8:2"),
+            ("fs:4:2:8", "false-sharing:4:2:8"),
+        ] {
+            assert_eq!(parse(alias), parse(long), "{alias}");
+            assert!(parse(alias).is_ok(), "{alias}");
+        }
+        assert_eq!(parse("figure5"), Ok(WorkloadSpec::Figure5));
+        assert_eq!(parse("example1"), Ok(WorkloadSpec::PaperExample1));
+        assert_eq!(parse("example2"), Ok(WorkloadSpec::PaperExample2));
+    }
+
+    #[test]
+    fn from_str_fills_defaults() {
+        assert_eq!(
+            parse("ticket-lock"),
+            Ok(WorkloadSpec::TicketLock {
+                procs: 4,
+                increments: 4
+            })
+        );
+        assert_eq!(
+            parse("ticket-lock:64"),
+            Ok(WorkloadSpec::TicketLock {
+                procs: 64,
+                increments: 4
+            })
+        );
+        assert_eq!(
+            parse("seqlock"),
+            Ok(WorkloadSpec::Seqlock {
+                readers: 2,
+                updates: 4,
+                words: 4
+            })
+        );
+        assert_eq!(
+            parse("false-sharing"),
+            Ok(WorkloadSpec::FalseSharing {
+                procs: 4,
+                iters: 8,
+                stride_words: 1
+            })
+        );
+        assert_eq!(
+            parse("rcu:3"),
+            Ok(WorkloadSpec::Rcu {
+                readers: 3,
+                versions: 4
+            })
+        );
+    }
+
+    #[test]
+    fn from_str_rejects_bad_parameters() {
+        assert_eq!(
+            parse("ticket-lock:0"),
+            Err("bad workload parameter `0` in `ticket-lock:0`".to_string())
+        );
+        assert_eq!(
+            parse("ticket-lock:x"),
+            Err("bad workload parameter `x` in `ticket-lock:x`".to_string())
+        );
+        for fixed in ["figure5:1", "example1:3", "example2:2"] {
+            let name = fixed.split(':').next().unwrap();
+            assert_eq!(
+                parse(fixed),
+                Err(format!("workload `{name}` takes no parameters"))
+            );
+        }
+        assert_eq!(
+            parse("seqlock:1:1:8"),
+            Err("seqlock words must be 1..=7, got 8".to_string())
+        );
+        assert!(parse("seqlock:1:1:7").is_ok());
+    }
+
+    #[test]
+    fn from_str_unknown_name_lists_the_catalogue() {
+        let err = parse("bogus").unwrap_err();
+        assert!(err.starts_with("unknown workload `bogus`"), "{err}");
+        for name in [
+            "figure5",
+            "example1",
+            "example2",
+            "ticket-lock",
+            "queue-lock",
+            "seqlock",
+            "rcu",
+            "false-sharing",
+        ] {
+            assert!(err.contains(name), "{err}");
+            assert!(parse(name).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn figure5_spec_builds_the_canonical_pair() {
+        let w = WorkloadSpec::Figure5;
+        assert_eq!(w.label(), "figure5");
+        let programs = w.programs(0);
+        assert_eq!(programs.len(), 2);
+        assert_eq!(programs[0], paper::figure5_main());
+        assert_eq!(
+            programs[1],
+            paper::figure5_antagonist(paper::FIG5_DELAY, paper::FIG5_NEW_D)
+        );
+        let json = serde_json::to_string(&w).expect("serializes");
+        let back: WorkloadSpec = serde_json::from_str(&json).expect("parses");
+        assert_eq!(back, w);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Table rendering generalized over result-row types.
 //!
-//! The fixed-width and markdown model × technique tables originally lived
-//! on `mcsim_core::MatrixRow`; the [`TableCell`] trait lets the same
-//! renderers consume sweep [`PointRecord`]s (where a failed cell renders
-//! as `-`) and any future row type.
+//! The one renderer of the fixed-width and markdown model × technique
+//! tables. The [`TableCell`] trait lets it consume `mcsim_core::run_matrix`
+//! rows ([`MatrixRow`]) as well as sweep [`PointRecord`]s (where a failed
+//! cell renders as `-`).
 
 use std::fmt::Write as _;
 
@@ -263,6 +263,57 @@ mod tests {
         // Under BOTH only SC completed, so the spread collapses to zero.
         assert!(model_spread(&rows, Techniques::BOTH).abs() < 1e-12);
         assert!(model_spread(&rows, Techniques::NONE) > 0.0);
+    }
+
+    fn two_store_matrix(models: &[Model], techniques: &[Techniques]) -> Vec<MatrixRow> {
+        use mcsim_core::{run_matrix, MachineConfig};
+        use mcsim_isa::ProgramBuilder;
+        run_matrix(
+            &MachineConfig::paper(),
+            models,
+            techniques,
+            || {
+                vec![ProgramBuilder::new("w")
+                    .store(0x1000u64, 1u64)
+                    .store(0x1100u64, 2u64)
+                    .halt()
+                    .build()
+                    .unwrap()]
+            },
+            |_| {},
+        )
+        .expect("no cell fails")
+    }
+
+    #[test]
+    fn equalization_spread_shrinks_with_both_techniques() {
+        let rows = two_store_matrix(&Model::ALL_EXTENDED, &[Techniques::NONE, Techniques::BOTH]);
+        let before = model_spread(&rows, Techniques::NONE);
+        let after = model_spread(&rows, Techniques::BOTH);
+        assert!(
+            after < before,
+            "techniques must narrow the model gap: {before:.3} -> {after:.3}"
+        );
+    }
+
+    #[test]
+    fn table_renders() {
+        let rows = two_store_matrix(
+            &[Model::Sc, Model::Rc],
+            &[Techniques::NONE, Techniques::BOTH],
+        );
+        let t = format_table("demo", &rows);
+        assert!(t.starts_with("demo\nmodel "), "{t}");
+        assert!(t.contains("SC"));
+        assert!(t.contains("RC"));
+        assert!(t.contains("speedup"));
+        let md = markdown_table(&rows);
+        assert!(
+            md.starts_with("| model | base | pf+spec |\n|---|---|---|\n"),
+            "{md}"
+        );
+        assert!(md.contains("| SC |"), "{md}");
+        assert!(md.contains("| RC |"), "{md}");
     }
 
     #[test]

@@ -25,6 +25,11 @@ pub const E_BASE: u64 = 0x2000;
 pub const D_VALUE: u64 = 3;
 /// The element of `E` that `E[D]` resolves to.
 pub const E_AT_D: u64 = E_BASE + D_VALUE * 8;
+/// The canonical Figure 5 antagonist delay in cycles: its write of `D`
+/// lands mid-flight of processor 0's speculative `read D`.
+pub const FIG5_DELAY: u32 = 50;
+/// The value the canonical Figure 5 antagonist writes to `D`.
+pub const FIG5_NEW_D: u64 = 5;
 
 /// Figure 2, left — the producer:
 ///

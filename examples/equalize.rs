@@ -7,10 +7,10 @@
 //! cargo run --example equalize
 //! ```
 
-use mcsim::sim::MachineConfig;
+use mcsim::sim::{run_matrix, MachineConfig};
 use mcsim_consistency::Model;
-use mcsim_core::{format_table, model_spread, run_matrix};
 use mcsim_proc::Techniques;
+use mcsim_sweep::{format_table, model_spread};
 use mcsim_workloads::generators::{critical_sections, CriticalSections};
 
 fn main() {

@@ -14,15 +14,15 @@
 //! the tree to the sanctioned crates); see `mcsim --help`.
 
 use mcsim::sim::{
-    conformance_config, format_table, run_matrix, Engine, Machine, MachineConfig, RunReport,
-    SimError,
+    conformance_config, run_matrix, Engine, Machine, MachineConfig, RunReport, SimError,
 };
 use mcsim::trace::{chrome, csv, fig5, TraceEvent, TraceFilter};
-use mcsim::workloads::{contended, litmus, paper};
+use mcsim::workloads::litmus;
 use mcsim_consistency::Model;
 use mcsim_isa::asm;
 use mcsim_isa::Program;
 use mcsim_proc::Techniques;
+use mcsim_sweep::{format_table, WorkloadSpec};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -33,7 +33,10 @@ Performance of Memory Consistency Models' (ICPP 1991)
 USAGE:
     mcsim run <program.s>... [OPTIONS]     simulate (one program per processor)
     mcsim run --workload <name> [OPTIONS]  simulate a built-in paper workload
-    mcsim matrix <program.s>...            run the full model x technique matrix
+    mcsim matrix <program.s>... [OPTIONS]  run the full model x technique matrix
+                                           (or --workload/--litmus <name>; takes
+                                           the run options, sweeping --model
+                                           and --techniques)
     mcsim asm <program.s>                  assemble and echo the program
     mcsim check-json <file>                validate that a file parses as JSON
     mcsim models                           list supported consistency models
@@ -59,8 +62,8 @@ OPTIONS (run):
     --dir-format <fmt>            directory sharer-set format: full,
                                   coarse:<procs_per_bit>, ptr:<n>:bcast,
                                   ptr:<n>:inv               [default: full]
-    --miss <cycles>               clean-miss latency (even) [default: 100]
-    --rob <n>                     reorder-buffer entries    [default: 64]
+    --miss <cycles>               clean-miss latency (even, >= 4) [default: 100]
+    --rob <n>                     reorder-buffer entries (>= 2) [default: 64]
     --max-cycles <n>              cycle budget              [default: 2000000]
     --mem <addr>=<value>          initial memory word (repeatable, hex ok)
     --workload <name>             built-in workload instead of .s files:
@@ -164,139 +167,6 @@ fn load_programs(paths: &[String]) -> Result<Vec<Program>, String> {
         .collect()
 }
 
-/// Built-in workloads (`--workload`): the canonical paper figures plus
-/// the contended scale-out library, so big-N runs need no assembly
-/// files. Contended workloads take `:`-separated parameters
-/// (`ticket-lock:64:2` = 64 processors, 2 increments each).
-#[derive(Debug, Clone, Copy)]
-enum Workload {
-    /// Figure 5's two-processor segment with the canonical antagonist
-    /// timing (delay 50, new D = 5) and primed caches.
-    Figure5,
-    /// Figure 2 example 1 (the producer), single processor.
-    Example1,
-    /// Figure 2 example 2 (the consumer), `D` pre-cached.
-    Example2,
-    /// Ticket lock: `procs` processors, `increments` each on one counter.
-    TicketLock { procs: usize, increments: usize },
-    /// Anderson-style array queue lock (local spinning).
-    QueueLock { procs: usize, increments: usize },
-    /// Seqlock: one writer, `readers` optimistic snapshotters.
-    Seqlock {
-        readers: usize,
-        updates: usize,
-        words: usize,
-    },
-    /// RCU-style pointer publication with dependent reads.
-    Rcu { readers: usize, versions: usize },
-    /// Stride-controlled false-sharing sweep.
-    FalseSharing {
-        procs: usize,
-        iters: usize,
-        stride: usize,
-    },
-}
-
-/// The antagonist parameters behind `--workload figure5` — the same pair
-/// the Figure 5 integration test pins.
-const FIG5_DELAY: u32 = 50;
-const FIG5_NEW_D: u64 = 5;
-
-impl Workload {
-    fn parse(spec: &str) -> Result<Self, String> {
-        let mut parts = spec.split(':');
-        let name = parts.next().unwrap_or("");
-        let params = parts
-            .map(|p| match p.parse::<usize>() {
-                Ok(n) if n >= 1 => Ok(n),
-                _ => Err(format!("bad workload parameter `{p}` in `{spec}`")),
-            })
-            .collect::<Result<Vec<usize>, String>>()?;
-        let p = |i: usize, default: usize| params.get(i).copied().unwrap_or(default);
-        let fixed = |w: Workload| {
-            if params.is_empty() {
-                Ok(w)
-            } else {
-                Err(format!("workload `{name}` takes no parameters"))
-            }
-        };
-        match name {
-            "figure5" | "fig5" => fixed(Workload::Figure5),
-            "example1" | "ex1" => fixed(Workload::Example1),
-            "example2" | "ex2" => fixed(Workload::Example2),
-            "ticket-lock" | "ticket" => Ok(Workload::TicketLock {
-                procs: p(0, 4),
-                increments: p(1, 4),
-            }),
-            "queue-lock" | "queue" => Ok(Workload::QueueLock {
-                procs: p(0, 4),
-                increments: p(1, 4),
-            }),
-            "seqlock" => {
-                let words = p(2, 4);
-                if !(1..=7).contains(&words) {
-                    return Err(format!("seqlock words must be 1..=7, got {words}"));
-                }
-                Ok(Workload::Seqlock {
-                    readers: p(0, 2),
-                    updates: p(1, 4),
-                    words,
-                })
-            }
-            "rcu" => Ok(Workload::Rcu {
-                readers: p(0, 2),
-                versions: p(1, 4),
-            }),
-            "false-sharing" | "fs" => Ok(Workload::FalseSharing {
-                procs: p(0, 4),
-                iters: p(1, 8),
-                stride: p(2, 1),
-            }),
-            other => Err(format!(
-                "unknown workload `{other}` (try figure5, example1, example2, \
-                 ticket-lock, queue-lock, seqlock, rcu, false-sharing)"
-            )),
-        }
-    }
-
-    fn programs(self) -> Vec<Program> {
-        match self {
-            Workload::Figure5 => vec![
-                paper::figure5_main(),
-                paper::figure5_antagonist(FIG5_DELAY, FIG5_NEW_D),
-            ],
-            Workload::Example1 => vec![paper::example1()],
-            Workload::Example2 => vec![paper::example2()],
-            Workload::TicketLock { procs, increments } => contended::ticket_lock(procs, increments),
-            Workload::QueueLock { procs, increments } => contended::queue_lock(procs, increments).0,
-            Workload::Seqlock {
-                readers,
-                updates,
-                words,
-            } => contended::seqlock(readers, updates, words),
-            Workload::Rcu { readers, versions } => contended::rcu(readers, versions),
-            Workload::FalseSharing {
-                procs,
-                iters,
-                stride,
-            } => contended::false_sharing(procs, iters, stride),
-        }
-    }
-
-    fn setup(self, m: &mut Machine) {
-        match self {
-            Workload::Figure5 => paper::setup_figure5(m, FIG5_NEW_D),
-            Workload::Example2 => paper::setup_example2(m),
-            Workload::QueueLock { procs, increments } => {
-                for (a, v) in contended::queue_lock(procs, increments).1 {
-                    m.write_memory(a, v);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 enum TraceFormat {
     #[default]
@@ -328,7 +198,7 @@ impl TraceFormat {
 
 struct RunOpts {
     files: Vec<String>,
-    workload: Option<Workload>,
+    workload: Option<WorkloadSpec>,
     litmus: Option<litmus::Litmus>,
     cfg: MachineConfig,
     mem_init: Vec<(u64, u64)>,
@@ -390,11 +260,17 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
             }
             "--miss" => {
                 let m = parse_u64(&value("--miss")?).ok_or("bad --miss value")?;
+                if m < 4 || !m.is_multiple_of(2) {
+                    return Err(format!("--miss must be even and >= 4, got {m}"));
+                }
                 o.cfg.mem.timings = mcsim_mem::MemTimings::with_miss_latency(m);
             }
             "--rob" => {
-                o.cfg.proc.rob_size =
-                    parse_u64(&value("--rob")?).ok_or("bad --rob value")? as usize;
+                let n = parse_u64(&value("--rob")?).ok_or("bad --rob value")?;
+                if n < 2 {
+                    return Err(format!("--rob must be >= 2, got {n}"));
+                }
+                o.cfg.proc.rob_size = n as usize;
             }
             "--max-cycles" => {
                 o.cfg.max_cycles = parse_u64(&value("--max-cycles")?).ok_or("bad --max-cycles")?;
@@ -409,7 +285,7 @@ fn parse_run_opts(args: &[String]) -> Result<RunOpts, String> {
                     parse_u64(val).ok_or("bad --mem value")?,
                 ));
             }
-            "--workload" => o.workload = Some(Workload::parse(&value("--workload")?)?),
+            "--workload" => o.workload = Some(value("--workload")?.parse()?),
             "--litmus" => {
                 let name = value("--litmus")?;
                 let corpus = litmus::conformance_corpus();
@@ -480,9 +356,26 @@ impl RunOpts {
         if let Some(l) = &self.litmus {
             return Ok(l.programs.clone());
         }
-        match self.workload {
-            Some(w) => Ok(w.programs()),
+        match &self.workload {
+            // Every command-line workload ignores the generator seed.
+            Some(w) => Ok(w.programs(0)),
             None => load_programs(&self.files),
+        }
+    }
+
+    /// Primes a built machine: the workload's or litmus's initial state,
+    /// then every `--mem` word.
+    fn setup(&self, m: &mut Machine) {
+        if let Some(w) = &self.workload {
+            w.setup(m);
+        }
+        if let Some(l) = &self.litmus {
+            for (a, v) in &l.init {
+                m.write_memory(*a, *v);
+            }
+        }
+        for (a, v) in &self.mem_init {
+            m.write_memory(*a, *v);
         }
     }
 }
@@ -496,17 +389,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
     } else {
         Engine::Event
     });
-    if let Some(w) = o.workload {
-        w.setup(&mut m);
-    }
-    if let Some(l) = &o.litmus {
-        for (a, v) in &l.init {
-            m.write_memory(*a, *v);
-        }
-    }
-    for (a, v) in &o.mem_init {
-        m.write_memory(*a, *v);
-    }
+    o.setup(&mut m);
     let report = m.run();
     if report.failure.is_some() || report.timed_out {
         if let Some(path) = &o.dump_on_failure {
@@ -561,21 +444,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 fn cmd_matrix(args: &[String]) -> Result<(), String> {
     let o = parse_run_opts(args)?;
     let programs = o.programs()?;
-    let mem_init = o.mem_init.clone();
-    let workload = o.workload;
     let rows = run_matrix(
         &o.cfg,
         &Model::ALL_EXTENDED,
         &Techniques::ALL,
         || programs.clone(),
-        |m| {
-            if let Some(w) = workload {
-                w.setup(m);
-            }
-            for (a, v) in &mem_init {
-                m.write_memory(*a, *v);
-            }
-        },
+        |m| o.setup(m),
     )
     .map_err(|e| e.to_string())?;
     println!(
